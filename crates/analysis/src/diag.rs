@@ -78,7 +78,9 @@ impl LintId {
         match self {
             LintId::L000 => "memcom-lint directives must parse and carry reasons",
             LintId::L001 => "every `unsafe` needs an immediately preceding `// SAFETY:` comment",
-            LintId::L002 => "no Instant::now()/SystemTime::now() inside `hot-path` fences",
+            LintId::L002 => {
+                "no Instant::now()/SystemTime::now()/Stamp::now() inside `hot-path` fences"
+            }
             LintId::L003 => "no unwrap/expect/panic!/bare indexing on wire decode & reply paths",
             LintId::L004 => {
                 "Ordering::Relaxed on contract counters needs an `// ORDERING:` comment"

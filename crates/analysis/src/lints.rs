@@ -214,7 +214,8 @@ fn l001_undocumented_unsafe(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
 }
 
 /// L002: clock reads inside hot-path fences. `Instant::now` /
-/// `SystemTime::now` token runs are flagged unless the same line gates
+/// `SystemTime::now` / `Stamp::now` (the serve tier's stage clock)
+/// token runs are flagged unless the same line gates
 /// the read behind `.then(` / `.map(` (the telemetry-off pattern:
 /// `stages_on.then(Instant::now)` executes no clock read when stages
 /// are off).
@@ -225,7 +226,7 @@ fn l002_hot_path_clock(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     let toks = &ctx.lexed.tokens;
     for i in 0..toks.len() {
         let t = &toks[i];
-        if !(t.is_ident("Instant") || t.is_ident("SystemTime")) {
+        if !(t.is_ident("Instant") || t.is_ident("SystemTime") || t.is_ident("Stamp")) {
             continue;
         }
         if !ctx.directives.in_fence(t.line) {
@@ -539,12 +540,15 @@ fn f() {
     let t0 = stages_on.then(Instant::now); // gated: fine
     let t1 = started.map(|_| Instant::now()); // gated: fine
     let t2 = Instant::now(); // unconditional: flagged
+    let t3 = dequeued.map(|_| Stamp::now()); // gated: fine
+    let t4 = Stamp::now(); // unconditional: flagged
 }
 // memcom-lint: end-hot-path
 ";
         let (diags, _) = check("a.rs", fenced);
-        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags.len(), 2, "{diags:?}");
         assert_eq!((diags[0].lint, diags[0].line), (LintId::L002, 5));
+        assert_eq!((diags[1].lint, diags[1].line), (LintId::L002, 7));
     }
 
     #[test]

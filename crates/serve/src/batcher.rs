@@ -1,10 +1,12 @@
 //! Micro-batching request queues and response cells.
 //!
 //! Each shard owns one bounded queue and one worker. The worker blocks
-//! for the first request, then holds the batch open until either
-//! `max_batch` requests have coalesced or `max_wait` has elapsed since
-//! the batch opened — the classic throughput/latency micro-batching
-//! trade-off, made observable through [`FlushReason`] counters.
+//! for the first request, then takes everything already queued (up to
+//! `max_batch`) and serves it at once — an *idle flush*: no timer holds
+//! a batch open. Requests that arrive while a batch is being served
+//! queue up and form the next one, so batches still grow with load
+//! (natural batching) while a lone request never waits for company.
+//! Why each batch closed is observable through [`FlushReason`] counters.
 //!
 //! Two response cells cover the two request shapes the router enqueues
 //! (see [`crate::router`]): a [`ResponseSlot`] carries one owned row
@@ -22,8 +24,9 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
+use crate::telemetry::Stamp;
 use crate::{Result, ServeError};
 
 /// Why a push failed — carrying the rejected request back to the
@@ -51,8 +54,8 @@ impl<T> PushError<T> {
 pub enum FlushReason {
     /// The batch reached `max_batch` requests.
     Full,
-    /// `max_wait` elapsed before the batch filled.
-    Timeout,
+    /// The queue drained: the batch took every request waiting.
+    Idle,
     /// The server is shutting down; remaining requests are drained.
     Drain,
 }
@@ -249,9 +252,7 @@ impl<T> ShardQueue<T> {
             }
             self.space.wait(&mut state);
         }
-        state.queue.push_back(request);
-        drop(state);
-        self.ready.notify_one();
+        self.enqueue(state, request);
         Ok(())
     }
 
@@ -263,16 +264,14 @@ impl<T> ShardQueue<T> {
     /// Returns [`PushError::Full`] when the queue is at capacity and
     /// [`PushError::Closed`] once it is closed.
     pub fn try_push(&self, request: T) -> std::result::Result<(), PushError<T>> {
-        let mut state = self.state.lock();
+        let state = self.state.lock();
         if state.closed {
             return Err(PushError::Closed(request));
         }
         if state.queue.len() >= self.capacity {
             return Err(PushError::Full(request));
         }
-        state.queue.push_back(request);
-        drop(state);
-        self.ready.notify_one();
+        self.enqueue(state, request);
         Ok(())
     }
 
@@ -316,23 +315,33 @@ impl<T> ShardQueue<T> {
                 None => self.space.wait(&mut state),
             }
         }
+        self.enqueue(state, request);
+        Ok(())
+    }
+
+    /// Appends `request` and wakes the worker — only when the queue was
+    /// empty, the one state the worker waits in. A condvar notify costs
+    /// a futex syscall even when nobody waits.
+    fn enqueue(&self, mut state: MutexGuard<'_, QueueState<T>>, request: T) {
+        let was_empty = state.queue.is_empty();
         state.queue.push_back(request);
         drop(state);
-        self.ready.notify_one();
-        Ok(())
+        if was_empty {
+            self.ready.notify_one();
+        }
     }
     // memcom-lint: end-hot-path
 
     /// Pops the next micro-batch: blocks for the first request, then
-    /// coalesces up to `max_batch` requests over at most `max_wait`.
-    /// Returns `None` when the queue is closed *and* fully drained —
-    /// the worker's exit signal.
+    /// takes every queued request up to `max_batch` without waiting for
+    /// more. Returns `None` when the queue is closed *and* fully drained
+    /// — the worker's exit signal.
     ///
     /// Allocates a fresh `Vec` per call; workers on the hot path reuse
     /// one buffer through [`pop_batch_into`](Self::pop_batch_into).
-    pub fn pop_batch(&self, max_batch: usize, max_wait: Duration) -> Option<(Vec<T>, FlushReason)> {
+    pub fn pop_batch(&self, max_batch: usize) -> Option<(Vec<T>, FlushReason)> {
         let mut batch = Vec::new();
-        let reason = self.pop_batch_into(&mut batch, max_batch, max_wait)?;
+        let reason = self.pop_batch_into(&mut batch, max_batch)?;
         Some((batch, reason))
     }
 
@@ -340,60 +349,34 @@ impl<T> ShardQueue<T> {
     /// the caller's reusable buffer (cleared first) instead of
     /// allocating one per flush — the worker loop's zero-allocation
     /// steady state, certified by `tests/alloc_count.rs`.
-    pub fn pop_batch_into(
-        &self,
-        batch: &mut Vec<T>,
-        max_batch: usize,
-        max_wait: Duration,
-    ) -> Option<FlushReason> {
-        self.pop_batch_into_timed(batch, max_batch, max_wait)
+    pub fn pop_batch_into(&self, batch: &mut Vec<T>, max_batch: usize) -> Option<FlushReason> {
+        self.pop_batch_into_timed(batch, max_batch, false)
             .map(|(reason, _)| reason)
     }
 
     /// Like [`pop_batch_into`](Self::pop_batch_into), additionally
-    /// reporting how long the batch was held open (batch-open → flush,
-    /// the assembly latency half of the micro-batching trade-off).
-    /// Costs nothing extra: phase 2 reads the clock for its deadline
-    /// anyway.
+    /// reporting when the batch opened (the stage-clock stamp of the
+    /// worker seeing the batch-opening request) when `timed` is set —
+    /// the start of batch assembly, which the caller closes with its
+    /// own next stamp. Untimed pops read no clock and report `None`.
     // memcom-lint: hot-path
-    pub fn pop_batch_into_timed(
+    pub(crate) fn pop_batch_into_timed(
         &self,
         batch: &mut Vec<T>,
         max_batch: usize,
-        max_wait: Duration,
-    ) -> Option<(FlushReason, Duration)> {
+        timed: bool,
+    ) -> Option<(FlushReason, Option<Stamp>)> {
         batch.clear();
         let mut state = self.state.lock();
-        // Phase 1: wait for the batch-opening request.
-        loop {
-            if !state.queue.is_empty() {
-                break;
-            }
+        while state.queue.is_empty() {
             if state.closed {
                 return None;
             }
             self.ready.wait(&mut state);
         }
-        // Phase 2: hold the batch open until full, timed out, or closed.
-        // A `max_wait` too large to represent as a point in time holds
-        // the batch open until it fills or the queue closes.
-        // memcom-lint: allow(L002) -- the batch window is defined in wall-clock time; one anchor read per flush, and it doubles as the assembly-latency start
-        let opened = Instant::now();
-        let deadline = opened.checked_add(max_wait);
-        while state.queue.len() < max_batch && !state.closed {
-            match deadline {
-                Some(deadline) => {
-                    // memcom-lint: allow(L002) -- re-read only while the batch is deliberately held open waiting for more requests
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    self.ready.wait_for(&mut state, deadline - now);
-                }
-                None => self.ready.wait(&mut state),
-            }
-        }
-        let assembly = opened.elapsed();
+        let opened = timed.then(Stamp::now);
+        // Producers wait for space only on a full queue.
+        let was_full = state.queue.len() >= self.capacity;
         let take = state.queue.len().min(max_batch);
         batch.extend(state.queue.drain(..take));
         let reason = if batch.len() == max_batch {
@@ -401,11 +384,13 @@ impl<T> ShardQueue<T> {
         } else if state.closed {
             FlushReason::Drain
         } else {
-            FlushReason::Timeout
+            FlushReason::Idle
         };
         drop(state);
-        self.space.notify_all();
-        Some((reason, assembly))
+        if was_full {
+            self.space.notify_all();
+        }
+        Some((reason, opened))
     }
     // memcom-lint: end-hot-path
 
@@ -434,27 +419,27 @@ mod tests {
         for id in 0..5usize {
             q.push(id).unwrap();
         }
-        let (batch, reason) = q.pop_batch(4, Duration::from_secs(10)).unwrap();
-        assert_eq!(batch.len(), 4, "full batch without waiting out the clock");
+        let (batch, reason) = q.pop_batch(4).unwrap();
+        assert_eq!(batch.len(), 4, "a full batch takes max_batch requests");
         assert_eq!(reason, FlushReason::Full);
         assert_eq!(q.depth(), 1);
-        let (rest, reason) = q.pop_batch(4, Duration::from_millis(1)).unwrap();
+        let (rest, reason) = q.pop_batch(4).unwrap();
         assert_eq!(rest.len(), 1);
-        assert_eq!(reason, FlushReason::Timeout);
+        assert_eq!(reason, FlushReason::Idle);
     }
 
     #[test]
-    fn batch_flushes_on_timeout() {
+    fn batch_takes_everything_queued_when_the_queue_drains() {
         let q = ShardQueue::new(16);
-        q.push(7usize).unwrap();
-        let t0 = Instant::now();
-        let (batch, reason) = q.pop_batch(64, Duration::from_millis(30)).unwrap();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(reason, FlushReason::Timeout);
-        assert!(
-            t0.elapsed() >= Duration::from_millis(25),
-            "waited out max_wait"
-        );
+        for id in 0..3usize {
+            q.push(id).unwrap();
+        }
+        // Fewer than max_batch queued: all of them flush at once, and
+        // the queue is left empty rather than held open for more.
+        let (batch, reason) = q.pop_batch(64).unwrap();
+        assert_eq!(batch, vec![0, 1, 2]);
+        assert_eq!(reason, FlushReason::Idle);
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
@@ -464,13 +449,10 @@ mod tests {
         q.push(2).unwrap();
         q.close();
         assert!(matches!(q.push(3), Err(PushError::Closed(3))));
-        let (batch, reason) = q.pop_batch(64, Duration::from_secs(10)).unwrap();
+        let (batch, reason) = q.pop_batch(64).unwrap();
         assert_eq!(batch.len(), 2, "queued work survives close");
         assert_eq!(reason, FlushReason::Drain);
-        assert!(
-            q.pop_batch(64, Duration::from_secs(10)).is_none(),
-            "then the worker exits"
-        );
+        assert!(q.pop_batch(64).is_none(), "then the worker exits");
     }
 
     #[test]
@@ -485,7 +467,7 @@ mod tests {
         }
         assert_eq!(q.depth(), 2);
         // Space frees up -> accepted again.
-        let (batch, _) = q.pop_batch(1, Duration::from_millis(1)).unwrap();
+        let (batch, _) = q.pop_batch(1).unwrap();
         assert_eq!(batch, vec![1]);
         q.try_push(3).unwrap();
         q.close();
@@ -514,7 +496,7 @@ mod tests {
         let q2 = Arc::clone(&q);
         let consumer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
-            q2.pop_batch(1, Duration::from_millis(1))
+            q2.pop_batch(1)
         });
         q.push_until(9, Duration::from_secs(5)).unwrap();
         consumer.join().unwrap().unwrap();
@@ -528,25 +510,12 @@ mod tests {
 
     #[test]
     fn unrepresentable_budgets_never_panic() {
-        // `Instant::now() + Duration::MAX` would overflow-panic; these
-        // budgets must instead mean "wait indefinitely".
+        // `Instant::now() + Duration::MAX` would overflow-panic; this
+        // budget must instead mean "wait indefinitely".
         let q = ShardQueue::new(2);
         q.push_until(1usize, Duration::MAX).unwrap();
-        let (batch, _) = q.pop_batch(4, Duration::from_millis(1)).unwrap();
+        let (batch, _) = q.pop_batch(4).unwrap();
         assert_eq!(batch, vec![1]);
-        // Phase-2 hold with an unrepresentable max_wait still flushes
-        // when the batch fills.
-        let q2 = Arc::new(ShardQueue::new(4));
-        let q3 = Arc::clone(&q2);
-        let producer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            q3.push(8usize).unwrap();
-            q3.push(9).unwrap();
-        });
-        let (batch, reason) = q2.pop_batch(2, Duration::MAX).unwrap();
-        producer.join().unwrap();
-        assert_eq!(batch, vec![8, 9]);
-        assert_eq!(reason, FlushReason::Full);
     }
 
     #[test]
@@ -556,45 +525,35 @@ mod tests {
         for id in 0..6usize {
             q.push(id).unwrap();
         }
-        let reason = q
-            .pop_batch_into(&mut batch, 4, Duration::from_secs(1))
-            .unwrap();
+        let reason = q.pop_batch_into(&mut batch, 4).unwrap();
         assert_eq!(batch, vec![0, 1, 2, 3]);
         assert_eq!(reason, FlushReason::Full);
         let capacity = batch.capacity();
         // Stale contents are cleared; capacity is reused, not reallocated.
-        let reason = q
-            .pop_batch_into(&mut batch, 4, Duration::from_millis(1))
-            .unwrap();
+        let reason = q.pop_batch_into(&mut batch, 4).unwrap();
         assert_eq!(batch, vec![4, 5]);
-        assert_eq!(reason, FlushReason::Timeout);
+        assert_eq!(reason, FlushReason::Idle);
         assert_eq!(batch.capacity(), capacity);
         q.close();
-        assert!(q
-            .pop_batch_into(&mut batch, 4, Duration::from_secs(1))
-            .is_none());
+        assert!(q.pop_batch_into(&mut batch, 4).is_none());
     }
 
     #[test]
-    fn timed_pop_reports_assembly_hold() {
+    fn timed_pop_reports_when_the_batch_opened() {
         let q = ShardQueue::new(16);
         let mut batch: Vec<usize> = Vec::new();
-        // A full batch flushes without waiting out the clock.
+        // A full batch flushes without being held open.
         for id in 0..4usize {
             q.push(id).unwrap();
         }
-        let (reason, held) = q
-            .pop_batch_into_timed(&mut batch, 4, Duration::from_secs(10))
-            .unwrap();
+        let (reason, opened) = q.pop_batch_into_timed(&mut batch, 4, true).unwrap();
         assert_eq!(reason, FlushReason::Full);
-        assert!(held < Duration::from_secs(1), "held {held:?}");
-        // A timeout flush reports roughly the configured hold.
+        assert!(opened.is_some(), "a timed pop stamps the batch open");
+        // An untimed pop reads no clock.
         q.push(9).unwrap();
-        let (reason, held) = q
-            .pop_batch_into_timed(&mut batch, 4, Duration::from_millis(30))
-            .unwrap();
-        assert_eq!(reason, FlushReason::Timeout);
-        assert!(held >= Duration::from_millis(25), "held {held:?}");
+        let (reason, opened) = q.pop_batch_into_timed(&mut batch, 4, false).unwrap();
+        assert_eq!(reason, FlushReason::Idle);
+        assert!(opened.is_none());
     }
 
     #[test]
@@ -606,7 +565,7 @@ mod tests {
             q2.push(9usize).unwrap();
         });
         // Worker parked on an empty queue gets woken by the push.
-        let (batch, _) = q.pop_batch(1, Duration::from_secs(5)).unwrap();
+        let (batch, _) = q.pop_batch(1).unwrap();
         assert_eq!(batch[0], 9);
         producer.join().unwrap();
     }

@@ -166,17 +166,21 @@ impl TelemetryConfig {
 /// Tuning knobs for [`crate::EmbedServer`].
 ///
 /// Defaults are sized for the workloads in this repository's examples and
-/// benches: 4 shards, micro-batches of up to 32 coalesced over at most
-/// 200 µs, a 4 096-deep bounded queue per shard, a 1 024-row hot cache
-/// per shard, fp32 row storage, blocking admission, and no simulated
-/// store latency.
+/// benches: 4 shards, micro-batches of up to 32 requests flushed as soon
+/// as the queue drains, a 200 µs fallback backoff hint (`max_wait`), a
+/// 4 096-deep bounded queue per shard, a 1 024-row hot cache per shard,
+/// fp32 row storage, blocking admission, and no simulated store latency.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Number of shards (one worker thread and one queue per shard).
     pub n_shards: usize,
     /// Largest batch a worker coalesces before hitting the store.
     pub max_batch: usize,
-    /// Longest a worker waits for a batch to fill before flushing early.
+    /// Does **not** hold batches open: a worker flushes as soon as its
+    /// queue drains (see [`crate::batcher`]), so no request waits for a
+    /// batch to fill. The only remaining reader is
+    /// [`suggested_backoff`](Self::suggested_backoff), which returns it
+    /// as the retry hint when no store latency is simulated.
     pub max_wait: Duration,
     /// Bounded depth of each shard's request queue (producers block when
     /// full — natural backpressure under overload).
@@ -276,9 +280,9 @@ impl ServeConfig {
     /// (plus the batch in flight) expressed in batch service times.
     /// Queue depth and `max_batch` are both in request units, so the
     /// ratio is well-defined regardless of how many ids each request
-    /// carries. Without a simulated store latency the only known
-    /// service timescale is the batching window, so `max_wait` is the
-    /// floor.
+    /// carries. Without a simulated store latency there is no
+    /// calibrated service timescale, so the hint falls back to
+    /// `max_wait`.
     pub fn suggested_backoff(&self, queued_requests: usize) -> Duration {
         if self.store_latency.is_zero() {
             return self.max_wait;
@@ -383,7 +387,7 @@ mod tests {
         assert_eq!(config.suggested_backoff(8), Duration::from_millis(4));
         assert_eq!(config.suggested_backoff(17), Duration::from_millis(8));
         // Without a simulated store read there is no calibrated
-        // capacity; the batching window is the only known timescale.
+        // capacity; the hint falls back to `max_wait`.
         let uncalibrated = ServeConfig::default();
         assert_eq!(uncalibrated.shard_capacity_rows_per_sec(), None);
         assert_eq!(uncalibrated.suggested_backoff(4_096), uncalibrated.max_wait);

@@ -36,6 +36,22 @@ static BUCKET_EDGES: LazyLock<[u64; BUCKETS]> = LazyLock::new(|| {
     edges
 });
 
+/// `OCTAVE_START[k]` is the first bucket whose edge reaches `2^k`
+/// (`BUCKETS` past the last edge). An observation in `[2^k, 2^(k+1))`
+/// therefore lands between `OCTAVE_START[k]` and `OCTAVE_START[k + 1]`
+/// — about eight buckets, since `GROWTH^8 ≈ 2` — so
+/// [`LatencyHistogram::bucket_of`] searches those instead of the whole
+/// table. Stage recording on the serving hot path runs with cold
+/// caches, where the whole-table search's cache lines showed up in
+/// full telemetry's measured cost.
+static OCTAVE_START: LazyLock<[usize; 65]> = LazyLock::new(|| {
+    let mut starts = [BUCKETS; 65];
+    for (k, start) in starts.iter_mut().enumerate().take(64) {
+        *start = BUCKET_EDGES.partition_point(|&edge| edge < 1u64 << k);
+    }
+    starts
+});
+
 /// A mergeable histogram of nanosecond latencies.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
@@ -68,9 +84,13 @@ impl LatencyHistogram {
         // First bucket whose edge covers `nanos` — a pure u64 compare
         // against the precomputed monotone edge table, so boundary
         // observations land deterministically (no float log drift).
-        BUCKET_EDGES
-            .partition_point(|&edge| edge < nanos)
-            .min(BUCKETS - 1)
+        // Only `nanos`'s octave of the table can hold that edge.
+        if nanos == 0 {
+            return 0;
+        }
+        let octave = nanos.ilog2() as usize;
+        let (lo, hi) = (OCTAVE_START[octave], OCTAVE_START[octave + 1]);
+        (lo + BUCKET_EDGES[lo..hi].partition_point(|&edge| edge < nanos)).min(BUCKETS - 1)
     }
 
     /// Upper latency bound of a bucket.
@@ -366,6 +386,37 @@ mod tests {
         }
         assert_eq!(LatencyHistogram::bucket_of(0), 0);
         assert_eq!(LatencyHistogram::bucket_of(u64::MAX), BUCKETS - 1);
+    }
+
+    #[test]
+    fn octave_search_matches_a_whole_table_search() {
+        let whole = |nanos: u64| {
+            BUCKET_EDGES
+                .partition_point(|&edge| edge < nanos)
+                .min(BUCKETS - 1)
+        };
+        let mut probes: Vec<u64> = (0..64)
+            .flat_map(|k| {
+                let p = 1u64 << k;
+                [p - 1, p, p + 1]
+            })
+            .collect();
+        probes.extend([u64::MAX - 1, u64::MAX]);
+        // xorshift over every magnitude.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..10_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            probes.push(x >> (x % 64));
+        }
+        for nanos in probes {
+            assert_eq!(
+                LatencyHistogram::bucket_of(nanos),
+                whole(nanos),
+                "at {nanos}"
+            );
+        }
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   and carries the hot-row caches over minus the changed ids, and
 //!   [`Router::apply_delta`] flips it in atomically under traffic.
 //! * [`batcher`] — **queueing**: bounded per-shard [`batcher::ShardQueue`]s
-//!   coalesce concurrent requests into micro-batches (flushing on
-//!   `max_batch`/`max_wait`), answered through [`batcher::ResponseSlot`]
+//!   coalesce concurrent requests into micro-batches (a worker takes
+//!   everything queued, up to `max_batch`, as soon as it is free — no
+//!   timer holds a batch open), answered through [`batcher::ResponseSlot`]
 //!   (one owned row) or [`batcher::SlabSlot`] (round-tripped batch
 //!   buffers). Overload behavior is an [`AdmissionPolicy`]: block
 //!   producers on full queues (backpressure), or shed with bounded

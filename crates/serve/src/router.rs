@@ -25,7 +25,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use memcom_ondevice::engine::RunStats;
-use parking_lot::RwLock;
+use parking_lot::{MutexGuard, RwLock};
 
 use crate::batcher::{FlushReason, PushError, ResponseSlot, ShardQueue, SlabOutcome, SlabSlot};
 use crate::config::AdmissionPolicy;
@@ -33,9 +33,9 @@ use crate::infer::{BackendRegistry, InferBackend, InferScratch, ScoreBatch, LOOK
 use crate::store::{CacheStats, ShardCacheStats, ShardedStore};
 use crate::telemetry::{
     dtype_idx, MetricsRegistry, MetricsSnapshot, ModelMetrics, PendingSpan, Span, SpanOutcome,
-    SpanSeed, SIZE_SCALE,
+    SpanSeed, StageSet, Stamp, SIZE_SCALE,
 };
-use crate::{EmbedBatch, Result, ServeConfig, ServeError, StoreDelta};
+use crate::{EmbedBatch, LatencyHistogram, Result, ServeConfig, ServeError, StoreDelta};
 
 /// The model name [`crate::EmbedServer`] registers its single model
 /// under.
@@ -81,21 +81,23 @@ pub(crate) struct ModelCounters {
 /// comparison instead of a store read. Policies without a deadline
 /// ([`AdmissionPolicy::Block`], or `Shed` with `request_deadline:
 /// None`) carry `None` — the stamp is lazy, so the default hot path
-/// pays no clock read.
+/// pays no clock read. Full telemetry separately stamps the issue on
+/// the stage clock, for the queue-wait and admission stages.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Admission {
-    /// The issue stamp — present when a deadline is in force *or* when
-    /// full telemetry asked for queue-wait timing.
+    /// The issue instant — present when a deadline is in force.
     issued_at: Option<Instant>,
     /// When the request stops being worth serving; `None` when no
     /// deadline is in force (or the deadline overflows `Instant`).
     expires_at: Option<Instant>,
+    /// The issue on the stage clock — present under full telemetry.
+    issued: Option<Stamp>,
 }
 
 impl Admission {
-    /// Stamps the issue clock when a deadline is in force or when the
-    /// caller asked to track the issue instant (full telemetry's
-    /// queue-wait timing); otherwise both fields stay `None` and the
+    /// Stamps the issue instant when a deadline is in force and the
+    /// stage clock when the caller tracks the issue (full telemetry's
+    /// queue-wait timing); otherwise every field stays `None` and the
     /// default hot path pays no clock read.
     ///
     /// `override_deadline` is the per-request deadline: under
@@ -118,26 +120,29 @@ impl Admission {
             },
             AdmissionPolicy::Block => None,
         };
-        if deadline.is_none() && !track_issue {
+        let issued = track_issue.then(Stamp::now);
+        let Some(deadline) = deadline else {
             return Admission {
                 issued_at: None,
                 expires_at: None,
+                issued,
             };
-        }
-        // memcom-lint: allow(L002) -- reached only past the early return above, i.e. when a deadline or full-telemetry queue-wait timing requires a stamp
+        };
+        // memcom-lint: allow(L002) -- reached only past the early return above, i.e. when a deadline is in force
         let issued_at = Instant::now();
         Admission {
             issued_at: Some(issued_at),
             // A deadline too far out to represent as a point in time
             // (e.g. `Duration::MAX`) never expires.
-            expires_at: deadline.and_then(|d| issued_at.checked_add(d)),
+            expires_at: issued_at.checked_add(deadline),
+            issued,
         }
     }
     // memcom-lint: end-hot-path
 
-    /// When the request was issued, if the stamp was taken.
-    fn issued_at(&self) -> Option<Instant> {
-        self.issued_at
+    /// When the request was issued on the stage clock, if tracked.
+    fn issued(&self) -> Option<Stamp> {
+        self.issued
     }
 
     /// The expiry instant, when a deadline is in force.
@@ -167,7 +172,7 @@ struct BatchCounters {
     requests: AtomicU64,
     batches: AtomicU64,
     flushes_full: AtomicU64,
-    flushes_timeout: AtomicU64,
+    flushes_idle: AtomicU64,
     flushes_drain: AtomicU64,
     max_batch_observed: AtomicU64,
 }
@@ -216,11 +221,18 @@ pub struct ServeStats {
     /// them up, so it answered [`ServeError::DeadlineExceeded`] without
     /// reading the store.
     pub expired: u64,
-    /// Batches executed across the router.
+    /// Batches executed across the router; always
+    /// `flushes_full + flushes_idle + flushes_drain`.
     pub batches: u64,
     /// Batches flushed because they reached `max_batch`.
     pub flushes_full: u64,
-    /// Batches flushed because `max_wait` elapsed.
+    /// Batches flushed below `max_batch` because they took every
+    /// request waiting in the queue (the idle flush; see
+    /// [`crate::batcher`]).
+    pub flushes_idle: u64,
+    /// Always `0`: workers no longer hold a batch open waiting for it to
+    /// fill, so no batch is ever flushed by a timer. Kept so existing
+    /// readers of the field still compile.
     pub flushes_timeout: u64,
     /// Batches flushed while draining at shutdown.
     pub flushes_drain: u64,
@@ -391,23 +403,50 @@ impl Request {
     /// Fails the request at dequeue because its deadline passed while it
     /// was queued, counting the drop and — for slab/score requests —
     /// handing the caller's buffers back (the worker still owns them
-    /// here).
+    /// here). The request's `Arc`s are released before the reply (see
+    /// [`worker_loop`]).
     fn expire(self, now: Instant) {
         self.counters()
             .expired
             .fetch_add(self.rows() as u64, Ordering::Release);
         match self {
             Request::One(r) => {
-                let error = r.admission.deadline_error(now);
-                r.slot.fill(Err(error));
+                let OneRequest {
+                    store,
+                    counters,
+                    slot,
+                    admission,
+                    ..
+                } = r;
+                drop((store, counters));
+                slot.fill(Err(admission.deadline_error(now)));
             }
             Request::Slab(s) => {
-                let error = s.admission.deadline_error(now);
-                s.slot.fail_with_buffers(s.ids, s.out, error);
+                let SlabRequest {
+                    ids,
+                    out,
+                    store,
+                    counters,
+                    slot,
+                    admission,
+                    ..
+                } = s;
+                drop((store, counters));
+                slot.fail_with_buffers(ids, out, admission.deadline_error(now));
             }
             Request::Score(s) => {
-                let error = s.admission.deadline_error(now);
-                s.slot.fail_with_buffers(s.ids, s.out, error);
+                let ScoreRequest {
+                    ids,
+                    out,
+                    store,
+                    backend,
+                    counters,
+                    slot,
+                    admission,
+                    ..
+                } = s;
+                drop((store, backend, counters));
+                slot.fail_with_buffers(ids, out, admission.deadline_error(now));
             }
         }
     }
@@ -476,7 +515,8 @@ impl RouterInner {
             expired,
             batches: b.batches.load(Ordering::Relaxed),
             flushes_full: b.flushes_full.load(Ordering::Relaxed),
-            flushes_timeout: b.flushes_timeout.load(Ordering::Relaxed),
+            flushes_idle: b.flushes_idle.load(Ordering::Relaxed),
+            flushes_timeout: 0,
             flushes_drain: b.flushes_drain.load(Ordering::Relaxed),
             max_batch_observed: b.max_batch_observed.load(Ordering::Relaxed) as usize,
             cache: store.cache_stats(),
@@ -492,17 +532,23 @@ impl RouterInner {
     /// error so the caller can salvage the buffers it owns — that
     /// hand-back (not an oversight) is what makes the Err variant
     /// large, and it only travels one internal frame.
+    ///
+    /// `clock` chains the admission timing of one caller's sub-requests
+    /// on the stage clock (full telemetry only; `None` times nothing):
+    /// it holds when this admission started — the issue stamp for the
+    /// first shard, the previous shard's admission end for later ones —
+    /// and is advanced to this admission's end. Each sub-request so
+    /// costs one clock read, and no shard is charged another shard's
+    /// wait.
     #[allow(clippy::result_large_err)]
     fn admit(
         &self,
         shard: usize,
         request: Request,
+        clock: &mut Option<Stamp>,
     ) -> std::result::Result<(), (ServeError, Request)> {
         // memcom-lint: hot-path
-        // Admission wait is timed from a fresh stamp here — not from
-        // `issued_at`, which for a multi-shard fan-out would charge
-        // earlier shards' admission time to later shards.
-        let admit_t0 = self.telemetry.stages_on().then(Instant::now);
+        let admit_t0 = *clock;
         let outcome = match self.config.admission {
             AdmissionPolicy::Block => self.queues[shard].push(request),
             AdmissionPolicy::Shed {
@@ -515,10 +561,11 @@ impl RouterInner {
                 }
             }
         };
-        if let Some(t0) = admit_t0 {
+        *clock = admit_t0.map(|_| Stamp::now());
+        if let (Some(t0), Some(t1)) = (admit_t0, *clock) {
             self.telemetry
                 .shard(shard)
-                .record_admission_wait(t0.elapsed().as_nanos() as u64);
+                .record_admission_wait(t1.nanos_since(t0));
         }
         match outcome {
             Ok(()) => Ok(()),
@@ -531,19 +578,15 @@ impl RouterInner {
                 // A sampled shed completes its span client-side: it
                 // never reaches a worker. `queue_wait` is the time
                 // spent failing admission; there is no service time.
-                if let (Some(t0), Some(pending)) = (admit_t0, request.span()) {
-                    let total = request
-                        .admission()
-                        .issued_at()
-                        .map(|issued_at| issued_at.elapsed())
-                        .unwrap_or_else(|| t0.elapsed());
+                if let (Some(t0), Some(t1), Some(pending)) = (admit_t0, *clock, request.span()) {
+                    let issued = request.admission().issued().unwrap_or(t0);
                     self.telemetry.complete(Span {
                         seq: pending.seq,
                         shard,
                         rows: request.rows(),
-                        queue_wait_nanos: t0.elapsed().as_nanos() as u64,
+                        queue_wait_nanos: t1.nanos_since(t0),
                         service_nanos: 0,
-                        total_nanos: total.as_nanos() as u64,
+                        total_nanos: t1.nanos_since(issued),
                         outcome: SpanOutcome::Shed,
                     });
                 }
@@ -640,10 +683,9 @@ impl Router {
         let workers = (0..inner.config.n_shards)
             .map(|shard_idx| {
                 let inner = Arc::clone(&inner);
-                let (max_batch, max_wait) = (inner.config.max_batch, inner.config.max_wait);
                 std::thread::Builder::new()
                     .name(format!("memcom-serve-{shard_idx}"))
-                    .spawn(move || worker_loop(&inner, shard_idx, max_batch, max_wait))
+                    .spawn(move || worker_loop(&inner, shard_idx))
                     .expect("spawn serving worker")
             })
             .collect();
@@ -1133,19 +1175,23 @@ impl RouterHandle {
         self.model.counters.issued.fetch_add(1, Ordering::Relaxed);
         let slot = Arc::new(ResponseSlot::new());
         let shard = store.shard_of(id);
+        let admission = Admission::stamp_with(
+            self.inner.config.admission,
+            self.inner.telemetry.stages_on(),
+            deadline,
+        );
+        let mut clock = admission.issued();
         let request = Request::One(OneRequest {
             id,
             store,
             counters: Arc::clone(&self.model.counters),
             slot: Arc::clone(&slot),
-            admission: Admission::stamp_with(
-                self.inner.config.admission,
-                self.inner.telemetry.stages_on(),
-                deadline,
-            ),
+            admission,
             span: self.inner.telemetry.sample(),
         });
-        self.inner.admit(shard, request).map_err(|(e, _)| e)?;
+        self.inner
+            .admit(shard, request, &mut clock)
+            .map_err(|(e, _)| e)?;
         slot.wait()
     }
 
@@ -1209,6 +1255,7 @@ impl RouterHandle {
             self.inner.telemetry.stages_on(),
             deadline,
         );
+        let mut clock = admission.issued();
         let mut pending: Vec<(usize, Arc<SlabSlot>)> = Vec::new();
         let mut first_err = None;
         let mut failed_at = None;
@@ -1227,7 +1274,7 @@ impl RouterHandle {
                 admission,
                 span: self.inner.telemetry.sample(),
             });
-            if let Err((e, _)) = self.inner.admit(s, request) {
+            if let Err((e, _)) = self.inner.admit(s, request, &mut clock) {
                 first_err = Some(e);
                 failed_at = Some(s);
                 break;
@@ -1305,6 +1352,7 @@ impl RouterHandle {
             self.inner.telemetry.stages_on(),
             deadline,
         );
+        let mut clock = admission.issued();
         let mut first_err = None;
         let mut failed_at = None;
         for s in 0..n_shards {
@@ -1326,7 +1374,7 @@ impl RouterHandle {
                 admission,
                 span: self.inner.telemetry.sample(),
             });
-            match self.inner.admit(s, request) {
+            match self.inner.admit(s, request, &mut clock) {
                 Ok(()) => batch.pending.push((s, slot)),
                 Err((e, rejected)) => {
                     // A shed (or shutdown-rejected) slab comes back whole
@@ -1453,6 +1501,12 @@ impl RouterHandle {
         out.clear();
         out.resize(out_len, 0.0);
         let slot = Arc::new(SlabSlot::new());
+        let admission = Admission::stamp_with(
+            self.inner.config.admission,
+            self.inner.telemetry.stages_on(),
+            deadline,
+        );
+        let mut clock = admission.issued();
         let request = Request::Score(ScoreRequest {
             ids: req_ids,
             out,
@@ -1460,14 +1514,10 @@ impl RouterHandle {
             backend,
             counters: Arc::clone(&self.model.counters),
             slot: Arc::clone(&slot),
-            admission: Admission::stamp_with(
-                self.inner.config.admission,
-                self.inner.telemetry.stages_on(),
-                deadline,
-            ),
+            admission,
             span: self.inner.telemetry.sample(),
         });
-        match self.inner.admit(shard, request) {
+        match self.inner.admit(shard, request, &mut clock) {
             Ok(()) => {}
             Err((e, rejected)) => {
                 // A shed (or shutdown-rejected) request comes back whole
@@ -1489,67 +1539,114 @@ impl RouterHandle {
     }
 }
 
-fn worker_loop(
-    inner: &RouterInner,
-    shard_idx: usize,
-    max_batch: usize,
-    max_wait: std::time::Duration,
-) {
+/// One shard's worker: pops idle-flushed micro-batches and serves them
+/// until the queue closes and drains.
+///
+/// Invariant — a reply happens after the request's resources are
+/// released: before a worker fills a requester's slot it drops every
+/// `Arc` the request pinned (store snapshot, backend, model counters),
+/// capturing first whatever telemetry still needs. A woken caller that
+/// drops its own handle therefore finds a superseded or deregistered
+/// snapshot already freed, never kept alive by a batch it has left.
+/// `tests/delta.rs` stresses this.
+fn worker_loop(inner: &RouterInner, shard_idx: usize) {
     let queue = &inner.queues[shard_idx];
-    // Reusable scratch: the popped batch and its panic-blanket slot list
-    // (refilled per flush), the single-id run coalescing buffers, and
-    // the inference-backend scratch — the worker allocates nothing per
-    // batch at a steady shape.
+    let max_batch = inner.config.max_batch;
+    let timed = inner.telemetry.stages_on();
+    // The popped batch and its panic-blanket slot list are refilled per
+    // flush; with `scratch` the worker allocates nothing per batch at a
+    // steady shape.
     let mut batch: Vec<Request> = Vec::new();
     let mut slots: Vec<SlotRef> = Vec::new();
-    let mut one_ids: Vec<usize> = Vec::new();
-    let mut one_slots: Vec<Arc<ResponseSlot>> = Vec::new();
-    let mut one_spans: Vec<SpanSeed> = Vec::new();
-    let mut infer_scratch = InferScratch::new();
-    while let Some((reason, assembly)) = queue.pop_batch_into_timed(&mut batch, max_batch, max_wait)
-    {
+    let mut scratch = WorkerScratch::default();
+    while let Some((reason, opened)) = queue.pop_batch_into_timed(&mut batch, max_batch, timed) {
         // A panic while serving must not strand blocked requesters: keep
         // the slots, answer `WorkerLost` to any left unfilled (fill is
         // first-write-wins), and keep the worker alive for later batches.
         slots.clear();
         slots.extend(batch.iter().map(Request::slot_ref));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve_batch(
-                inner,
-                shard_idx,
-                &mut batch,
-                reason,
-                assembly,
-                &mut one_ids,
-                &mut one_slots,
-                &mut one_spans,
-                &mut infer_scratch,
-            );
+            serve_batch(inner, shard_idx, &mut batch, reason, opened, &mut scratch);
         }));
         if outcome.is_err() {
             for slot in &slots {
                 slot.fail(ServeError::WorkerLost);
             }
             batch.clear();
-            one_ids.clear();
-            one_slots.clear();
-            one_spans.clear();
+            scratch.clear();
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// A worker's reusable per-batch state: the run of single-id requests
+/// being coalesced and the inference-backend scratch.
+#[derive(Default)]
+struct WorkerScratch {
+    one_ids: Vec<usize>,
+    one_slots: Vec<Arc<ResponseSlot>>,
+    one_spans: Vec<SpanSeed>,
+    infer: InferScratch,
+}
+
+impl WorkerScratch {
+    fn clear(&mut self) {
+        self.one_ids.clear();
+        self.one_slots.clear();
+        self.one_spans.clear();
+    }
+}
+
+/// Full telemetry's state for one batch: the shard's stage set, locked
+/// for the whole batch so all of its samples land under one lock, and
+/// the worker's stage-clock chain.
+struct BatchTiming<'a> {
+    stages: MutexGuard<'a, StageSet>,
+    /// The latest stage-clock read. Each served unit (a coalesced
+    /// single-id run, a slab, a score) starts here, so a unit costs two
+    /// reads — work done, reply out — not three.
+    mark: Stamp,
+}
+
 // memcom-lint: hot-path
+impl BatchTiming<'_> {
+    /// Closes the unit that started at `self.mark`: its work ended at
+    /// `worked` and lands in the `work` histogram (decode or forward),
+    /// and its reply is out now. Returns the unit's end.
+    fn unit_done(
+        &mut self,
+        worked: Stamp,
+        work: impl FnOnce(&mut StageSet) -> &mut LatencyHistogram,
+    ) -> Stamp {
+        // memcom-lint: allow(L002) -- a `BatchTiming` exists only when stages are on
+        let finished = Stamp::now();
+        work(&mut self.stages).record(worked.nanos_since(self.mark));
+        self.stages.slab_write.record(finished.nanos_since(worked));
+        self.mark = finished;
+        finished
+    }
+
+    /// Restarts the chain after work that is no unit's stage.
+    fn restart(&mut self) {
+        // memcom-lint: allow(L002) -- a `BatchTiming` exists only when stages are on
+        self.mark = Stamp::now();
+    }
+
+    /// Counts one decode's hit/miss rows from the shard's cache counters
+    /// read before and after it. The worker owns its shard, so the
+    /// delta is exactly that decode's rows.
+    fn add_rows(&mut self, (hit0, miss0): (u64, u64), (hit1, miss1): (u64, u64)) {
+        self.stages.decode_rows_hit += hit1 - hit0;
+        self.stages.decode_rows_miss += miss1 - miss0;
+    }
+}
+
 fn serve_batch(
     inner: &RouterInner,
     shard_idx: usize,
     batch: &mut Vec<Request>,
     reason: FlushReason,
-    assembly: Duration,
-    one_ids: &mut Vec<usize>,
-    one_slots: &mut Vec<Arc<ResponseSlot>>,
-    one_spans: &mut Vec<SpanSeed>,
-    infer_scratch: &mut InferScratch,
+    opened: Option<Stamp>,
+    scratch: &mut WorkerScratch,
 ) {
     let c = &inner.batch;
     let rows: usize = batch.iter().map(Request::rows).sum();
@@ -1560,7 +1657,7 @@ fn serve_batch(
     c.batches.fetch_add(1, Ordering::Relaxed);
     match reason {
         FlushReason::Full => c.flushes_full.fetch_add(1, Ordering::Relaxed),
-        FlushReason::Timeout => c.flushes_timeout.fetch_add(1, Ordering::Relaxed),
+        FlushReason::Idle => c.flushes_idle.fetch_add(1, Ordering::Relaxed),
         FlushReason::Drain => c.flushes_drain.fetch_add(1, Ordering::Relaxed),
     };
     c.max_batch_observed
@@ -1568,37 +1665,52 @@ fn serve_batch(
 
     // Deadlines are evaluated once, at dequeue time — a request that
     // expired while queued is answered `DeadlineExceeded` below without
-    // costing a store read (or the simulated store latency).
-    // memcom-lint: allow(L002) -- one read per flushed batch, amortized over every request in it; deadline evaluation needs a wall-clock anchor
-    let now = Instant::now();
-    let live = |request: &Request| match request.admission().expires_at() {
-        Some(expires_at) => now < expires_at,
-        None => true,
+    // costing a store read (or the simulated store latency). Only a
+    // batch carrying a deadline reads the clock for it.
+    let now = batch
+        .iter()
+        .any(|request| request.admission().expires_at().is_some())
+        .then(Instant::now);
+    let expired = |request: &Request| match (request.admission().expires_at(), now) {
+        (Some(expires_at), Some(now)) => now >= expires_at,
+        _ => false,
     };
 
+    // The stage clock's dequeue stamp closes batch assembly and every
+    // request's queue wait.
     let telemetry = &inner.telemetry;
-    let stages_on = telemetry.stages_on();
-    if stages_on {
-        // One stage lock per flushed batch: the shard's whole dequeue
-        // story (assembly hold, batch size, every request's queue wait)
-        // folds in at once.
-        let mut stages = telemetry.shard(shard_idx).stages();
-        stages.batch_assembly.record(assembly.as_nanos() as u64);
-        stages.batch_size.record(rows as u64 * SIZE_SCALE);
-        for request in batch.iter() {
-            if let Some(issued_at) = request.admission().issued_at() {
-                let waited = now.saturating_duration_since(issued_at);
-                stages.queue_wait.record(waited.as_nanos() as u64);
-            }
-        }
-    }
+    let dequeued = opened.map(|_| Stamp::now());
 
     // Simulated backing-store service time, charged once per flushed
     // batch that actually reaches the store (see
     // [`ServeConfig::store_latency`]).
     let store_latency = inner.config.store_latency;
-    if !store_latency.is_zero() && batch.iter().any(live) {
+    if !store_latency.is_zero() && !batch.iter().all(expired) {
         std::thread::sleep(store_latency);
+    }
+
+    let mut timing = None;
+    if let (Some(opened), Some(dequeued)) = (opened, dequeued) {
+        // The shard's dequeue story — assembly, batch size, every
+        // request's queue wait — lands before any reply, so a snapshot
+        // taken after a reply covers that request's wait.
+        let mut stages = telemetry.shard(shard_idx).stages();
+        stages.batch_assembly.record(dequeued.nanos_since(opened));
+        stages.batch_size.record(rows as u64 * SIZE_SCALE);
+        for request in batch.iter() {
+            if let Some(issued) = request.admission().issued() {
+                stages.queue_wait.record(dequeued.nanos_since(issued));
+            }
+        }
+        let mut batch_timing = BatchTiming {
+            stages,
+            mark: dequeued,
+        };
+        // The simulated store read is no stage of its own.
+        if !store_latency.is_zero() {
+            batch_timing.restart();
+        }
+        timing = Some(batch_timing);
     }
 
     // Serve in arrival order, coalescing runs of single-id requests that
@@ -1606,155 +1718,138 @@ fn serve_batch(
     // one store batch, so the legacy path keeps its lock amortization.
     let mut run: Option<(Arc<ShardedStore>, Arc<ModelCounters>)> = None;
     for request in batch.drain(..) {
-        if !live(&request) {
+        if let Some(now) = now.filter(|_| expired(&request)) {
             // A sampled expired request's span ends here: queued its
             // whole life, no service.
-            if let Some(pending) = request.span() {
-                if let Some(issued_at) = request.admission().issued_at() {
-                    let waited = now.saturating_duration_since(issued_at).as_nanos() as u64;
-                    telemetry.complete(Span {
-                        seq: pending.seq,
-                        shard: shard_idx,
-                        rows: request.rows(),
-                        queue_wait_nanos: waited,
-                        service_nanos: 0,
-                        total_nanos: waited,
-                        outcome: SpanOutcome::Expired,
-                    });
-                }
+            if let (Some(pending), Some(issued), Some(dequeued)) =
+                (request.span(), request.admission().issued(), dequeued)
+            {
+                let waited = dequeued.nanos_since(issued);
+                telemetry.complete(Span {
+                    seq: pending.seq,
+                    shard: shard_idx,
+                    rows: request.rows(),
+                    queue_wait_nanos: waited,
+                    service_nanos: 0,
+                    total_nanos: waited,
+                    outcome: SpanOutcome::Expired,
+                });
             }
             request.expire(now);
+            // Answering the dead request is no served unit's stage.
+            if let Some(timing) = timing.as_mut() {
+                timing.restart();
+            }
             continue;
         }
         match request {
             Request::One(r) => {
                 let same_run = matches!(&run, Some((s, _)) if Arc::ptr_eq(s, &r.store));
                 if !same_run {
-                    flush_one_run(inner, shard_idx, run.take(), one_ids, one_slots, one_spans);
+                    flush_one_run(inner, shard_idx, run.take(), scratch, &mut timing);
                     run = Some((r.store, r.counters));
                 }
-                if let (Some(pending), Some(issued_at)) = (r.span, r.admission.issued_at()) {
-                    one_spans.push(SpanSeed {
+                if let (Some(pending), Some(issued), Some(dequeued)) =
+                    (r.span, r.admission.issued(), dequeued)
+                {
+                    scratch.one_spans.push(SpanSeed {
                         seq: pending.seq,
-                        issued_at,
-                        queue_wait_nanos: now.saturating_duration_since(issued_at).as_nanos()
-                            as u64,
+                        issued,
+                        queue_wait_nanos: dequeued.nanos_since(issued),
                         rows: 1,
                     });
                 }
-                one_ids.push(r.id);
-                one_slots.push(r.slot);
+                scratch.one_ids.push(r.id);
+                scratch.one_slots.push(r.slot);
             }
-            Request::Slab(mut s) => {
-                flush_one_run(inner, shard_idx, run.take(), one_ids, one_slots, one_spans);
-                let decode_before = stages_on.then(|| s.store.shard_hit_miss(shard_idx));
-                let started = stages_on.then(Instant::now);
-                let result = s.store.lookup_batch(shard_idx, &s.ids, &mut s.out);
+            Request::Slab(s) => {
+                flush_one_run(inner, shard_idx, run.take(), scratch, &mut timing);
+                let SlabRequest {
+                    ids,
+                    mut out,
+                    store,
+                    counters,
+                    slot,
+                    admission,
+                    span,
+                } = s;
+                let started = timing.as_ref().map(|timing| timing.mark);
+                let decode_before = started.map(|_| store.shard_hit_miss(shard_idx));
+                let result = store.lookup_batch(shard_idx, &ids, &mut out);
                 if result.is_ok() {
-                    s.counters
+                    counters
                         .requests
-                        .fetch_add(s.ids.len() as u64, Ordering::Release);
+                        .fetch_add(ids.len() as u64, Ordering::Release);
                 }
-                // Capture telemetry inputs before the fill consumes the
-                // request's buffers.
-                let slab_rows = s.ids.len();
-                let dtype = s.store.dtype();
-                let span = s.span;
-                let issued_at = s.admission.issued_at();
-                let decode_after = decode_before.map(|_| s.store.shard_hit_miss(shard_idx));
-                let decoded = started.map(|_| Instant::now());
-                s.slot.fill(SlabOutcome {
-                    ids: s.ids,
-                    out: s.out,
-                    result,
-                });
-                if let (Some(started), Some(decoded)) = (started, decoded) {
-                    // memcom-lint: allow(L002) -- reached only when stages are on: `started` is `stages_on.then(Instant::now)`
-                    let finished = Instant::now();
-                    let shard_t = telemetry.shard(shard_idx);
-                    {
-                        let mut stages = shard_t.stages();
-                        stages.decode[dtype_idx(dtype)]
-                            .record(decoded.saturating_duration_since(started).as_nanos() as u64);
-                        stages
-                            .slab_write
-                            .record(finished.saturating_duration_since(decoded).as_nanos() as u64);
+                // Capture telemetry inputs, then release the request's
+                // resources before the reply (see `worker_loop`).
+                let slab_rows = ids.len();
+                let dtype = dtype_idx(store.dtype());
+                let decode_after = decode_before.map(|_| store.shard_hit_miss(shard_idx));
+                let decoded = started.map(|_| Stamp::now());
+                drop((store, counters));
+                slot.fill(SlabOutcome { ids, out, result });
+                if let (Some(timing), Some(started), Some(decoded)) =
+                    (timing.as_mut(), started, decoded)
+                {
+                    let finished = timing.unit_done(decoded, |stages| &mut stages.decode[dtype]);
+                    if let (Some(before), Some(after)) = (decode_before, decode_after) {
+                        timing.add_rows(before, after);
                     }
-                    if let (Some((hit0, miss0)), Some((hit1, miss1))) =
-                        (decode_before, decode_after)
-                    {
-                        // The worker owns this shard, so the before/after
-                        // counter delta is exactly this lookup's rows.
-                        shard_t.add_decode_rows(hit1 - hit0, miss1 - miss0);
-                    }
-                    if let (Some(pending), Some(issued_at)) = (span, issued_at) {
+                    if let (Some(pending), Some(issued)) = (span, admission.issued()) {
                         telemetry.complete(Span {
                             seq: pending.seq,
                             shard: shard_idx,
                             rows: slab_rows,
-                            queue_wait_nanos: started
-                                .saturating_duration_since(issued_at)
-                                .as_nanos() as u64,
-                            service_nanos: finished.saturating_duration_since(started).as_nanos()
-                                as u64,
-                            total_nanos: finished.saturating_duration_since(issued_at).as_nanos()
-                                as u64,
+                            queue_wait_nanos: started.nanos_since(issued),
+                            service_nanos: finished.nanos_since(started),
+                            total_nanos: finished.nanos_since(issued),
                             outcome: SpanOutcome::Served,
                         });
                     }
                 }
             }
-            Request::Score(mut s) => {
-                flush_one_run(inner, shard_idx, run.take(), one_ids, one_slots, one_spans);
-                let started = stages_on.then(Instant::now);
-                let result = s
-                    .backend
-                    .score_into(&s.store, &s.ids, infer_scratch, &mut s.out);
+            Request::Score(s) => {
+                flush_one_run(inner, shard_idx, run.take(), scratch, &mut timing);
+                let ScoreRequest {
+                    ids,
+                    mut out,
+                    store,
+                    backend,
+                    counters,
+                    slot,
+                    admission,
+                    span,
+                } = s;
+                let started = timing.as_ref().map(|timing| timing.mark);
+                let result = backend.score_into(&store, &ids, &mut scratch.infer, &mut out);
                 if result.is_ok() {
-                    s.counters
+                    counters
                         .requests
-                        .fetch_add(s.ids.len() as u64, Ordering::Release);
+                        .fetch_add(ids.len() as u64, Ordering::Release);
                 }
-                // Capture telemetry inputs before the fill consumes the
-                // request's buffers.
-                let score_rows = s.ids.len();
-                let span = s.span;
-                let issued_at = s.admission.issued_at();
-                let scored = started.map(|_| Instant::now());
-                s.slot.fill(SlabOutcome {
-                    ids: s.ids,
-                    out: s.out,
-                    result,
-                });
-                if let (Some(started), Some(scored)) = (started, scored) {
-                    // memcom-lint: allow(L002) -- reached only when stages are on: `started` is `stages_on.then(Instant::now)`
-                    let finished = Instant::now();
-                    let shard_t = telemetry.shard(shard_idx);
-                    {
-                        // The whole backend execution — gather + NN
-                        // forward — lands in the `forward` stage; the
-                        // reply hand-back stays in `slab_write` like
-                        // every other response.
-                        let mut stages = shard_t.stages();
-                        stages
-                            .forward
-                            .record(scored.saturating_duration_since(started).as_nanos() as u64);
-                        stages
-                            .slab_write
-                            .record(finished.saturating_duration_since(scored).as_nanos() as u64);
-                    }
-                    if let (Some(pending), Some(issued_at)) = (span, issued_at) {
+                // Capture telemetry inputs, then release the request's
+                // resources before the reply (see `worker_loop`).
+                let score_rows = ids.len();
+                let scored = started.map(|_| Stamp::now());
+                drop((store, backend, counters));
+                slot.fill(SlabOutcome { ids, out, result });
+                if let (Some(timing), Some(started), Some(scored)) =
+                    (timing.as_mut(), started, scored)
+                {
+                    // The whole backend execution — gather + NN forward
+                    // — lands in the `forward` stage; the reply
+                    // hand-back stays in `slab_write` like every other
+                    // response.
+                    let finished = timing.unit_done(scored, |stages| &mut stages.forward);
+                    if let (Some(pending), Some(issued)) = (span, admission.issued()) {
                         telemetry.complete(Span {
                             seq: pending.seq,
                             shard: shard_idx,
                             rows: score_rows,
-                            queue_wait_nanos: started
-                                .saturating_duration_since(issued_at)
-                                .as_nanos() as u64,
-                            service_nanos: finished.saturating_duration_since(started).as_nanos()
-                                as u64,
-                            total_nanos: finished.saturating_duration_since(issued_at).as_nanos()
-                                as u64,
+                            queue_wait_nanos: started.nanos_since(issued),
+                            service_nanos: finished.nanos_since(started),
+                            total_nanos: finished.nanos_since(issued),
                             outcome: SpanOutcome::Served,
                         });
                     }
@@ -1762,66 +1857,57 @@ fn serve_batch(
             }
         }
     }
-    flush_one_run(inner, shard_idx, run.take(), one_ids, one_slots, one_spans);
+    flush_one_run(inner, shard_idx, run.take(), scratch, &mut timing);
 }
 
 fn flush_one_run(
     inner: &RouterInner,
     shard_idx: usize,
     run: Option<(Arc<ShardedStore>, Arc<ModelCounters>)>,
-    ids: &mut Vec<usize>,
-    slots: &mut Vec<Arc<ResponseSlot>>,
-    spans: &mut Vec<SpanSeed>,
+    scratch: &mut WorkerScratch,
+    timing: &mut Option<BatchTiming<'_>>,
 ) {
     let Some((store, counters)) = run else {
-        debug_assert!(ids.is_empty());
+        debug_assert!(scratch.one_ids.is_empty());
         return;
     };
     let telemetry = &inner.telemetry;
-    let stages_on = telemetry.stages_on();
-    let decode_before = stages_on.then(|| store.shard_hit_miss(shard_idx));
-    let started = stages_on.then(Instant::now);
+    let ids = &scratch.one_ids;
+    let started = timing.as_ref().map(|timing| timing.mark);
+    let decode_before = started.map(|_| store.shard_hit_miss(shard_idx));
     match store.get_shard_batch(shard_idx, ids) {
         Ok(rows) => {
             counters
                 .requests
                 .fetch_add(ids.len() as u64, Ordering::Release);
-            let decoded = started.map(|_| Instant::now());
-            for (slot, row) in slots.drain(..).zip(rows) {
+            // Capture telemetry inputs, then release the run's resources
+            // before the replies (see `worker_loop`).
+            let dtype = dtype_idx(store.dtype());
+            let decode_after = decode_before.map(|_| store.shard_hit_miss(shard_idx));
+            let decoded = started.map(|_| Stamp::now());
+            drop((store, counters));
+            for (slot, row) in scratch.one_slots.drain(..).zip(rows) {
                 slot.fill(Ok(row));
             }
-            if let (Some(started), Some(decoded)) = (started, decoded) {
-                // memcom-lint: allow(L002) -- reached only when stages are on: `started` is `stages_on.then(Instant::now)`
-                let finished = Instant::now();
-                let shard_t = telemetry.shard(shard_idx);
-                {
-                    let mut stages = shard_t.stages();
-                    stages.decode[dtype_idx(store.dtype())]
-                        .record(decoded.saturating_duration_since(started).as_nanos() as u64);
-                    stages
-                        .slab_write
-                        .record(finished.saturating_duration_since(decoded).as_nanos() as u64);
-                }
-                if let Some((hit0, miss0)) = decode_before {
-                    let (hit1, miss1) = store.shard_hit_miss(shard_idx);
-                    // The worker owns this shard, so the before/after
-                    // delta is exactly this run's rows.
-                    shard_t.add_decode_rows(hit1 - hit0, miss1 - miss0);
+            if let (Some(timing), Some(started), Some(decoded)) =
+                (timing.as_mut(), started, decoded)
+            {
+                let finished = timing.unit_done(decoded, |stages| &mut stages.decode[dtype]);
+                if let (Some(before), Some(after)) = (decode_before, decode_after) {
+                    timing.add_rows(before, after);
                 }
                 // Service time is the whole coalesced run — the latency
                 // each sampled request actually experienced, not its
                 // pro-rata share.
-                let service = finished.saturating_duration_since(started).as_nanos() as u64;
-                for seed in spans.drain(..) {
+                let service = finished.nanos_since(started);
+                for seed in scratch.one_spans.drain(..) {
                     telemetry.complete(Span {
                         seq: seed.seq,
                         shard: shard_idx,
                         rows: seed.rows,
                         queue_wait_nanos: seed.queue_wait_nanos,
                         service_nanos: service,
-                        total_nanos: finished
-                            .saturating_duration_since(seed.issued_at)
-                            .as_nanos() as u64,
+                        total_nanos: finished.nanos_since(seed.issued),
                         outcome: SpanOutcome::Served,
                     });
                 }
@@ -1831,18 +1917,25 @@ fn flush_one_run(
             // A bad id poisons only its own batch; answer every
             // requester individually so none hangs — and only the rows
             // actually served count as served. Sampled spans are dropped
-            // on this rare path: tracing is best-effort.
-            for (slot, &id) in slots.drain(..).zip(ids.iter()) {
-                let outcome = store.get(id);
-                if outcome.is_ok() {
-                    counters.requests.fetch_add(1, Ordering::Release);
-                }
+            // on this rare path: tracing is best-effort. The outcomes are
+            // collected first so the replies still follow the release.
+            let outcomes: Vec<Result<Vec<f32>>> = ids.iter().map(|&id| store.get(id)).collect();
+            let served = outcomes.iter().filter(|outcome| outcome.is_ok()).count();
+            counters
+                .requests
+                .fetch_add(served as u64, Ordering::Release);
+            drop((store, counters));
+            for (slot, outcome) in scratch.one_slots.drain(..).zip(outcomes) {
                 slot.fill(outcome);
+            }
+            // The failed run records no stage.
+            if let Some(timing) = timing.as_mut() {
+                timing.restart();
             }
         }
     }
-    ids.clear();
-    spans.clear();
+    scratch.one_ids.clear();
+    scratch.one_spans.clear();
 }
 // memcom-lint: end-hot-path
 

@@ -118,7 +118,7 @@ pub struct ShardStageMetrics {
     /// Issue → worker dequeue per request. Includes the admission wait;
     /// subtract the admission-wait histogram to isolate pure queueing.
     pub queue_wait: LatencyHistogram,
-    /// Batch-open → flush, per flushed batch.
+    /// Batch-opening request seen → batch drained, per flushed batch.
     pub batch_assembly: LatencyHistogram,
     /// Rows per flushed batch.
     pub batch_size: SizeStats,

@@ -12,13 +12,15 @@
 //! * **Full** — per-stage latency histograms (admission wait, queue
 //!   wait, batch assembly, store decode per dtype, response write) and
 //!   sampled request tracing. Recording is O(1) and shard-local: the
-//!   worker folds a whole batch into its shard's accumulators under one
-//!   uncontended lock, and a snapshot merges per-shard state on demand.
+//!   worker records a whole batch into its shard's accumulators under
+//!   one lock, timing stages on the stage clock (`telemetry/clock.rs`), and a
+//!   snapshot merges per-shard state on demand.
 //!
 //! Entry points: [`crate::Router::metrics`] returns a
 //! [`MetricsSnapshot`] renderable as Prometheus text or JSON;
 //! [`StatsReporter`] periodically dumps either.
 
+mod clock;
 mod export;
 mod registry;
 mod trace;
@@ -26,5 +28,6 @@ mod trace;
 pub use export::{MetricsSnapshot, ModelMetrics, ShardStageMetrics, SizeStats, StatsReporter};
 pub use trace::{Span, SpanOutcome};
 
-pub(crate) use registry::{dtype_idx, MetricsRegistry, SIZE_SCALE};
+pub(crate) use clock::Stamp;
+pub(crate) use registry::{dtype_idx, MetricsRegistry, StageSet, SIZE_SCALE};
 pub(crate) use trace::{PendingSpan, SpanSeed};

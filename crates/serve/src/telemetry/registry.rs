@@ -7,9 +7,10 @@
 //!
 //! * counters are relaxed atomics;
 //! * stage histograms are shard-local accumulators behind a mutex the
-//!   shard's *single worker* locks once per batch (uncontended except
-//!   for the brief clone a snapshot takes), merged only at snapshot
-//!   time;
+//!   shard's *single worker* holds for the length of each batch (so a
+//!   snapshot may wait out one batch), merged only at snapshot time;
+//! * stage intervals are timed on the cheap stage clock
+//!   ([`super::clock`]);
 //! * nothing on the store lookup path takes a telemetry lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,14 +45,16 @@ pub(crate) fn dtype_idx(dtype: Dtype) -> usize {
 /// single-digit row counts; [`SizeStats`] unscales on snapshot.
 pub(crate) const SIZE_SCALE: u64 = 1_000;
 
-/// One shard's stage histograms — owned by the shard's worker, locked
-/// once per batch.
+/// One shard's stage histograms — owned by the shard's worker, which
+/// holds the lock for the length of a batch (see the router's
+/// `BatchTiming`).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StageSet {
     /// Issue → dequeue per request (includes the admission wait; the
     /// separate admission-wait histogram isolates that component).
     pub(crate) queue_wait: LatencyHistogram,
-    /// Batch-open → flush (the phase-2 hold of the micro-batcher).
+    /// Batch-opening request seen → dequeue (no timer holds a batch
+    /// open, so this is the drain itself).
     pub(crate) batch_assembly: LatencyHistogram,
     /// Batch sizes in rows, scaled by [`SIZE_SCALE`].
     pub(crate) batch_size: LatencyHistogram,
@@ -63,6 +66,10 @@ pub(crate) struct StageSet {
     pub(crate) forward: LatencyHistogram,
     /// Response write duration per run (slot fills / slab hand-back).
     pub(crate) slab_write: LatencyHistogram,
+    /// Rows decoded from the shard's hot-row cache.
+    pub(crate) decode_rows_hit: u64,
+    /// Rows decoded from the shard's pages.
+    pub(crate) decode_rows_miss: u64,
 }
 
 /// Per-shard telemetry state.
@@ -73,8 +80,6 @@ pub(crate) struct ShardTelemetry {
     /// the worker) contend on this one — kept separate from `stages` so
     /// they never block the worker's once-per-batch lock.
     admission_wait: Mutex<LatencyHistogram>,
-    decode_rows_hit: AtomicU64,
-    decode_rows_miss: AtomicU64,
 }
 
 impl ShardTelemetry {
@@ -82,8 +87,6 @@ impl ShardTelemetry {
         ShardTelemetry {
             stages: Mutex::new(StageSet::default()),
             admission_wait: Mutex::new(LatencyHistogram::new()),
-            decode_rows_hit: AtomicU64::new(0),
-            decode_rows_miss: AtomicU64::new(0),
         }
     }
 
@@ -94,15 +97,6 @@ impl ShardTelemetry {
 
     pub(crate) fn record_admission_wait(&self, nanos: u64) {
         self.admission_wait.lock().record(nanos);
-    }
-
-    pub(crate) fn add_decode_rows(&self, hit: u64, miss: u64) {
-        if hit > 0 {
-            self.decode_rows_hit.fetch_add(hit, Ordering::Relaxed);
-        }
-        if miss > 0 {
-            self.decode_rows_miss.fetch_add(miss, Ordering::Relaxed);
-        }
     }
 }
 
@@ -121,6 +115,9 @@ pub(crate) struct MetricsRegistry {
 
 impl MetricsRegistry {
     pub(crate) fn new(config: &TelemetryConfig, n_shards: usize) -> Self {
+        if config.level == TelemetryLevel::Full {
+            super::clock::init();
+        }
         let sample_every = if config.level == TelemetryLevel::Full && config.sample_rate > 0.0 {
             (1.0 / config.sample_rate).round().max(1.0) as u64
         } else {
@@ -190,8 +187,8 @@ impl MetricsRegistry {
                 let admission_wait = shard.admission_wait.lock().clone();
                 ShardStageMetrics {
                     shard: idx,
-                    decode_rows_hit: shard.decode_rows_hit.load(Ordering::Relaxed),
-                    decode_rows_miss: shard.decode_rows_miss.load(Ordering::Relaxed),
+                    decode_rows_hit: stages.decode_rows_hit,
+                    decode_rows_miss: stages.decode_rows_miss,
                     admission_wait,
                     queue_wait: stages.queue_wait,
                     batch_assembly: stages.batch_assembly,
@@ -258,9 +255,10 @@ mod tests {
         let registry = MetricsRegistry::new(&TelemetryConfig::full(1.0), 1);
         let shard = registry.shard(0);
         shard.record_admission_wait(1_000);
-        shard.add_decode_rows(3, 2);
         {
             let mut stages = shard.stages();
+            stages.decode_rows_hit += 3;
+            stages.decode_rows_miss += 2;
             stages.queue_wait.record(5_000);
             stages.batch_size.record(4 * SIZE_SCALE);
         }

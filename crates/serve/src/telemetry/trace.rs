@@ -9,7 +9,7 @@
 //! retention list, so a p99 outlier can be explained long after the
 //! recent ring cycled past it.
 
-use std::time::Instant;
+use super::Stamp;
 
 /// How a traced request ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +77,7 @@ pub(crate) struct PendingSpan {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SpanSeed {
     pub(crate) seq: u64,
-    pub(crate) issued_at: Instant,
+    pub(crate) issued: Stamp,
     pub(crate) queue_wait_nanos: u64,
     pub(crate) rows: usize,
 }

@@ -1,11 +1,12 @@
 //! Concurrency correctness: batched parallel serving must be
-//! indistinguishable from serial replay, and both flush triggers must
-//! fire when — and only when — their condition holds.
+//! indistinguishable from serial replay, and a worker must flush a full
+//! batch at `max_batch` and everything queued as soon as the queue
+//! drains, never holding a batch open.
 
 use std::time::{Duration, Instant};
 
 use memcom_core::{EmbeddingCompressor, MemCom, MemComConfig, MethodSpec};
-use memcom_serve::{EmbedServer, ServeConfig, ServeError};
+use memcom_serve::{EmbedServer, ServeConfig, ServeError, TelemetryConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -109,55 +110,87 @@ fn every_method_serves_exact_rows() {
     }
 }
 
-/// A burst of exactly `max_batch` concurrent requests to one shard
-/// flushes as a full batch, long before `max_wait` expires.
+/// A single-shard server whose worker sleeps `WEDGE` on every batch
+/// that reaches the store, with full telemetry so admissions are
+/// countable.
+fn wedgeable(emb: &MemCom, max_batch: usize) -> EmbedServer {
+    EmbedServer::start(
+        emb,
+        ServeConfig {
+            n_shards: 1,
+            max_batch,
+            store_latency: WEDGE,
+            telemetry: TelemetryConfig::full(0.0),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap()
+}
+
+/// How long a wedged worker sleeps: far longer than it takes to queue a
+/// handful of requests behind it.
+const WEDGE: Duration = Duration::from_millis(300);
+
+/// Polls the router's own counters until `done` holds, failing after
+/// 10 s.
+fn wait_for(mut done: impl FnMut() -> bool) {
+    let t0 = Instant::now();
+    while !done() {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "condition never held"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
+/// Queues `ids` as concurrent single-id requests behind a wedged worker
+/// and returns once all of them (and the wedger) are served.
+fn serve_behind_a_wedge(server: &EmbedServer, ids: &[usize]) {
+    std::thread::scope(|scope| {
+        let wedger = server.handle();
+        scope.spawn(move || wedger.get(0).unwrap());
+        // The worker has dequeued the wedger and now sleeps out WEDGE.
+        wait_for(|| server.stats().batches == 1);
+        for &id in ids {
+            let handle = server.handle();
+            scope.spawn(move || handle.get(id).unwrap());
+        }
+        // Every request is in the queue: admission is recorded only
+        // after the push succeeds.
+        wait_for(|| server.metrics().stages[0].admission_wait.count() == 1 + ids.len() as u64);
+    });
+}
+
+/// `max_batch` requests queued behind a busy worker flush as one full
+/// batch.
 #[test]
 fn flush_triggers_on_max_batch() {
     let emb = memcom(400, 8, 40);
     let max_batch = 4;
-    let server = EmbedServer::start(
-        &emb,
-        ServeConfig {
-            n_shards: 1, // single shard: the whole burst coalesces
-            max_batch,
-            max_wait: Duration::from_secs(30),
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let handle = server.handle();
-
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for i in 0..max_batch {
-            let handle = handle.clone();
-            scope.spawn(move || handle.get(i * 3).unwrap());
-        }
-    });
-    let elapsed = t0.elapsed();
-    assert!(
-        elapsed < Duration::from_secs(5),
-        "a full batch must flush without waiting out max_wait (took {elapsed:?})"
-    );
+    let server = wedgeable(&emb, max_batch);
+    let ids: Vec<usize> = (1..=max_batch).map(|i| i * 3).collect();
+    serve_behind_a_wedge(&server, &ids);
     let stats = server.shutdown();
-    assert_eq!(stats.requests, max_batch as u64);
+    assert_eq!(stats.requests, max_batch as u64 + 1);
+    assert_eq!(stats.batches, 2, "the wedger, then the queued burst");
     assert_eq!(stats.flushes_full, 1, "exactly one full flush");
-    assert_eq!(stats.flushes_timeout, 0, "the 30s timer never fired");
+    assert_eq!(stats.flushes_idle, 1, "the wedger flushed alone");
+    assert_eq!(stats.flushes_timeout, 0);
     assert_eq!(stats.max_batch_observed, max_batch);
 }
 
-/// A lone request in a huge-batch config flushes when `max_wait`
-/// elapses — not sooner, not never.
+/// A lone request flushes as soon as the worker sees the queue drained:
+/// a 30 s `max_wait` holds nothing open.
 #[test]
-fn flush_triggers_on_max_wait() {
+fn lone_request_flushes_when_the_queue_drains() {
     let emb = memcom(400, 8, 40);
-    let max_wait = Duration::from_millis(40);
     let server = EmbedServer::start(
         &emb,
         ServeConfig {
             n_shards: 1,
             max_batch: 1_024, // can never fill from one request
-            max_wait,
+            max_wait: Duration::from_secs(30),
             ..ServeConfig::default()
         },
     )
@@ -168,16 +201,31 @@ fn flush_triggers_on_max_wait() {
     handle.get(11).unwrap();
     let elapsed = t0.elapsed();
     assert!(
-        elapsed >= Duration::from_millis(35),
-        "lone request must wait out max_wait (took {elapsed:?})"
-    );
-    assert!(
-        elapsed < Duration::from_secs(5),
-        "…but must complete soon after (took {elapsed:?})"
+        elapsed < Duration::from_secs(15),
+        "a lone request must not wait out max_wait (took {elapsed:?})"
     );
     let stats = server.shutdown();
-    assert_eq!(stats.flushes_timeout, 1, "exactly one timeout flush");
+    assert_eq!(stats.batches, 1);
+    assert_eq!(stats.flushes_idle, 1, "exactly one idle flush");
+    assert_eq!(stats.flushes_timeout, 0, "no timer ever fires");
     assert_eq!(stats.flushes_full, 0);
+}
+
+/// Requests that arrive while the worker is busy form the next batch:
+/// batches grow with load without any timer.
+#[test]
+fn requests_queued_behind_a_busy_worker_form_one_batch() {
+    let emb = memcom(400, 8, 40);
+    let server = wedgeable(&emb, 64);
+    let k = 5;
+    let ids: Vec<usize> = (1..=k).collect();
+    serve_behind_a_wedge(&server, &ids);
+    let stats = server.shutdown();
+    assert_eq!(stats.requests, k as u64 + 1);
+    assert_eq!(stats.batches, 2, "the wedger, then all k at once");
+    assert_eq!(stats.max_batch_observed, k);
+    assert_eq!(stats.flushes_idle, 2);
+    assert_eq!(stats.flushes_full + stats.flushes_timeout, 0);
 }
 
 /// Shutdown drains queued requests (none hang, none are lost) and then

@@ -269,6 +269,43 @@ fn deltas_under_traffic_never_tear_rows() {
 /// silently pin every cached row of a dropped table.
 #[test]
 fn superseded_and_deregistered_snapshots_are_released() {
+    snapshots_are_released_once_requests_drain(single_ids);
+}
+
+/// The release above is only race-free because a worker drops a
+/// request's store `Arc` *before* it wakes the caller (the router's
+/// reply-after-release invariant). A reply that came first would let
+/// the woken caller observe its superseded snapshot still alive, which
+/// a single run catches only now and then; 1 000 runs catch it. The
+/// runs alternate which request path answers last before each check.
+#[test]
+fn snapshot_release_survives_1000_runs() {
+    for run in 0..1_000 {
+        let traffic = if run % 2 == 0 { single_ids } else { slabs };
+        snapshots_are_released_once_requests_drain(traffic);
+    }
+}
+
+/// Single-id lookups (coalesced runs of `Request::One`).
+fn single_ids(handle: &memcom_serve::RouterHandle) {
+    for id in 0..32 {
+        handle.get(id).unwrap();
+    }
+}
+
+/// Slab lookups (`Request::Slab`, one per shard).
+fn slabs(handle: &memcom_serve::RouterHandle) {
+    for start in (0..32).step_by(4) {
+        handle
+            .get_many(&[start, start + 1, start + 2, start + 3])
+            .unwrap();
+    }
+}
+
+/// Warms a snapshot with `traffic`, supersedes it with a delta, then
+/// deregisters the model, checking after each step that the retired
+/// snapshot is freed as soon as the caller lets go of it.
+fn snapshots_are_released_once_requests_drain(traffic: fn(&memcom_serve::RouterHandle)) {
     let mut rng = StdRng::seed_from_u64(3);
     let emb = FullEmbedding::new(500, 8, &mut rng).unwrap();
     let router = Router::start(ServeConfig::with_shards(2)).unwrap();
@@ -276,9 +313,7 @@ fn superseded_and_deregistered_snapshots_are_released() {
     let handle = router.handle("m").unwrap();
 
     // Warm the first snapshot's caches with real traffic.
-    for id in 0..32 {
-        handle.get(id).unwrap();
-    }
+    traffic(&handle);
     let first = router.snapshot("m").unwrap();
     let weak_first = Arc::downgrade(&first);
     drop(first);
@@ -288,9 +323,7 @@ fn superseded_and_deregistered_snapshots_are_released() {
     let mut delta = StoreDelta::new(8);
     delta.upsert_row(1, &[0.5; 8]).unwrap();
     let old = router.apply_delta("m", &delta).unwrap();
-    for id in 0..32 {
-        handle.get(id).unwrap(); // traffic now runs on the new snapshot
-    }
+    traffic(&handle); // traffic now runs on the new snapshot
     drop(old);
     assert!(
         weak_first.upgrade().is_none(),

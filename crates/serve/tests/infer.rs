@@ -177,16 +177,16 @@ fn score_requests_share_the_counter_contract() {
 #[test]
 fn score_deadline_expires_at_dequeue_not_silently() {
     let model = ranker(11);
-    let deadline = Duration::from_millis(10);
-    // A lone request can never fill max_batch, so it waits out the 60ms
-    // flush timer in the queue — far past its 10ms deadline.
+    let deadline = Duration::from_millis(25);
+    // The probe queues behind a worker wedged by a 300ms store read —
+    // far past its 25ms deadline.
     let router = router_serving(
         &model,
         Dtype::F32,
         ServeConfig {
             n_shards: 1,
             max_batch: 512,
-            max_wait: Duration::from_millis(60),
+            store_latency: Duration::from_millis(300),
             admission: AdmissionPolicy::Shed {
                 enqueue_timeout: Duration::from_secs(5),
                 request_deadline: Some(deadline),
@@ -196,19 +196,36 @@ fn score_deadline_expires_at_dequeue_not_silently() {
     );
     let handle = router.handle("scorer").unwrap();
 
-    match handle.score(&[1, 2, 3]) {
-        Err(ServeError::DeadlineExceeded {
-            queued,
-            deadline: reported,
-        }) => {
-            assert_eq!(reported, deadline);
-            assert!(queued >= deadline, "queued {queued:?} < {deadline:?}");
+    std::thread::scope(|scope| {
+        let wedger = router.handle("scorer").unwrap();
+        scope.spawn(move || wedger.score(&[0]).unwrap());
+        // The worker has dequeued the wedger once `batches` moves, and
+        // now sleeps out its store read.
+        let t0 = std::time::Instant::now();
+        while handle.stats().batches == 0 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "wedger never dequeued"
+            );
+            std::thread::sleep(Duration::from_micros(200));
         }
-        other => panic!("expected DeadlineExceeded, got {other:?}"),
-    }
+        match handle.score(&[1, 2, 3]) {
+            Err(ServeError::DeadlineExceeded {
+                queued,
+                deadline: reported,
+            }) => {
+                assert_eq!(reported, deadline);
+                assert!(queued >= deadline, "queued {queued:?} < {deadline:?}");
+            }
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+    });
     let stats = router.stats("scorer").unwrap();
     assert_eq!(stats.expired, 3, "expiry counts rows, like slab lookups");
-    assert_eq!(stats.requests, 0, "no forward for a dead request");
+    assert_eq!(
+        stats.requests, 1,
+        "only the wedger is scored: no forward for a dead request"
+    );
     router.shutdown();
 }
 

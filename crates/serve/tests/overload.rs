@@ -141,21 +141,34 @@ fn shed_bounds_p99_where_block_collapses() {
     );
 }
 
+/// Polls the router's own counters until `done` holds, failing after
+/// 10 s.
+fn wait_for(mut done: impl FnMut() -> bool) {
+    let t0 = std::time::Instant::now();
+    while !done() {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "condition never held"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
 /// A request whose deadline passes while it waits in the queue is
 /// answered with `DeadlineExceeded` at dequeue — never silence, and
 /// never a wasted store read.
 #[test]
 fn expired_requests_fail_at_dequeue_not_silently() {
     let emb = memcom(5);
-    let deadline = Duration::from_millis(10);
-    // A lone request can never fill max_batch, so it waits out the
-    // 60ms flush timer in the queue — far past its 10ms deadline.
+    let deadline = Duration::from_millis(25);
+    // Each probe queues behind a worker wedged by a 300ms store read —
+    // far past its 25ms deadline.
     let server = EmbedServer::start(
         &emb,
         ServeConfig {
             n_shards: 1,
             max_batch: 512,
-            max_wait: Duration::from_millis(60),
+            store_latency: Duration::from_millis(300),
             admission: AdmissionPolicy::Shed {
                 enqueue_timeout: Duration::from_secs(5),
                 request_deadline: Some(deadline),
@@ -165,9 +178,20 @@ fn expired_requests_fail_at_dequeue_not_silently() {
     )
     .unwrap();
     let handle = server.handle();
+    // Runs `probe` while the worker sleeps out the wedger's store read:
+    // the `batches` counter moves once the worker has dequeued it.
+    let behind_a_wedge = |probe: &mut dyn FnMut()| {
+        let batches = server.stats().batches;
+        std::thread::scope(|scope| {
+            let wedger = server.handle();
+            scope.spawn(move || wedger.get(0).unwrap());
+            wait_for(|| server.stats().batches > batches);
+            probe();
+        });
+    };
 
     // Single-id path.
-    match handle.get(3) {
+    behind_a_wedge(&mut || match handle.get(3) {
         Err(ServeError::DeadlineExceeded {
             queued,
             deadline: reported,
@@ -176,24 +200,31 @@ fn expired_requests_fail_at_dequeue_not_silently() {
             assert!(queued >= deadline, "queued {queued:?} < {deadline:?}");
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
-    }
+    });
     let stats = server.stats();
     assert_eq!(stats.expired, 1);
-    assert_eq!(stats.requests, 0, "no store read for a dead request");
+    assert_eq!(
+        stats.requests, 1,
+        "only the wedger is served: no store read for a dead request"
+    );
 
     // Slab paths expire identically (and count in rows).
-    assert!(matches!(
-        handle.get_many(&[1, 2, 3]),
-        Err(ServeError::DeadlineExceeded { .. })
-    ));
+    behind_a_wedge(&mut || {
+        assert!(matches!(
+            handle.get_many(&[1, 2, 3]),
+            Err(ServeError::DeadlineExceeded { .. })
+        ));
+    });
     let mut batch = EmbedBatch::new();
-    assert!(matches!(
-        handle.get_batch_into(&[4, 5, 6], &mut batch),
-        Err(ServeError::DeadlineExceeded { .. })
-    ));
+    behind_a_wedge(&mut || {
+        assert!(matches!(
+            handle.get_batch_into(&[4, 5, 6], &mut batch),
+            Err(ServeError::DeadlineExceeded { .. })
+        ));
+    });
     let stats = server.shutdown();
     assert_eq!(stats.expired, 7);
-    assert_eq!(stats.requests, 0);
+    assert_eq!(stats.requests, 3, "the three wedgers' rows only");
 }
 
 /// The admission reject is a typed, budget-stamped error, surfaced

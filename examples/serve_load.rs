@@ -109,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     println!(
         "{} clients x {} closed-loop requests x {} ids each, 4 shards, \
-         max_batch 64 / max_wait 50us\n",
+         max_batch 64, idle flush\n",
         load.clients, load.requests_per_client, load.ids_per_request
     );
     println!(
@@ -151,7 +151,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nMEmCom shard scaling (same load):\n");
     println!(
         "{:<7} {:>8} {:>11} {:>9} {:>9} {:>9} {:>10} {:>11}",
-        "shards", "req/s", "lookups/s", "p50", "p95", "p99", "batches", "full/timeo"
+        "shards", "req/s", "lookups/s", "p50", "p95", "p99", "batches", "full/idle"
     );
     for n_shards in [1usize, 2, 4, 8] {
         let mut rng = StdRng::seed_from_u64(7);
@@ -173,7 +173,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             fmt_nanos(report.histogram.p99()),
             stats.batches,
             stats.flushes_full,
-            stats.flushes_timeout,
+            stats.flushes_idle,
         );
     }
 
