@@ -72,21 +72,30 @@ pub(crate) struct StageSet {
     pub(crate) decode_rows_miss: u64,
 }
 
-/// Per-shard telemetry state.
+/// Per-shard telemetry state, aligned so that neighbouring shards'
+/// workers never write the same cache line.
 #[derive(Debug)]
+#[repr(align(128))]
 pub(crate) struct ShardTelemetry {
     stages: Mutex<StageSet>,
     /// Recorded client-side around admission, so producer threads (not
-    /// the worker) contend on this one — kept separate from `stages` so
-    /// they never block the worker's once-per-batch lock.
-    admission_wait: Mutex<LatencyHistogram>,
+    /// the worker) contend on this one — kept separate from `stages`,
+    /// on cache lines of its own, so producers neither block the
+    /// worker's lock nor invalidate the lines it writes.
+    admission_wait: CachePadded<Mutex<LatencyHistogram>>,
 }
+
+/// Keeps a value on cache lines of its own (128 bytes also covers the
+/// adjacent-line prefetch).
+#[derive(Debug)]
+#[repr(align(128))]
+struct CachePadded<T>(T);
 
 impl ShardTelemetry {
     fn new() -> Self {
         ShardTelemetry {
             stages: Mutex::new(StageSet::default()),
-            admission_wait: Mutex::new(LatencyHistogram::new()),
+            admission_wait: CachePadded(Mutex::new(LatencyHistogram::new())),
         }
     }
 
@@ -96,7 +105,7 @@ impl ShardTelemetry {
     }
 
     pub(crate) fn record_admission_wait(&self, nanos: u64) {
-        self.admission_wait.lock().record(nanos);
+        self.admission_wait.0.lock().record(nanos);
     }
 }
 
@@ -184,7 +193,7 @@ impl MetricsRegistry {
             .enumerate()
             .map(|(idx, shard)| {
                 let stages = shard.stages.lock().clone();
-                let admission_wait = shard.admission_wait.lock().clone();
+                let admission_wait = shard.admission_wait.0.lock().clone();
                 ShardStageMetrics {
                     shard: idx,
                     decode_rows_hit: stages.decode_rows_hit,
